@@ -104,7 +104,7 @@ fn bench_route_split(c: &mut Criterion) {
     c.bench_function("routing/route_64key_lookup_over_64_aeus", |b| {
         b.iter(|| {
             router
-                .route(DataCommand {
+                .route(&DataCommand {
                     object: DataObjectId(0),
                     ticket: 0,
                     payload: Payload::Lookup { keys: keys.clone() },

@@ -601,9 +601,10 @@ pub fn run(quick: bool) {
         "SLO burn: worst tenant error burn {:.2}x budget (shedding is expected to burn)",
         r.worst_error_burn
     );
+    let storm_s = r.mean_epoch_ns * 1e-9 * s.storm_pumps as f64;
     println!(
         "throughput while shedding: {}",
-        fmt_rate(r.accepted as f64 / (r.mean_epoch_ns * 1e-9 * 150.0).max(1e-9))
+        fmt_rate(r.accepted as f64 / storm_s.max(1e-9))
     );
 
     let m = metrics(&r);

@@ -7,7 +7,9 @@
 //! commands**.  All data structure accesses are latch-free because the AEU
 //! is the only writer of its partitions.
 
-use crate::command::{AeuId, DataCommand, DataObjectId, Payload, StorageOp};
+use crate::command::{
+    AeuId, DataCommand, DataObjectId, Payload, PayloadPool, StorageOp, TracedCommand,
+};
 use crate::cost::{expected_tree_misses, CostParams};
 use crate::durability::{RedoOp, RedoSink};
 use crate::results::ResultCollector;
@@ -28,9 +30,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-/// A decoded incoming command paired with its (rare) trace stamp.
-type TracedCommand = (DataCommand, Option<TraceStamp>);
-
 /// Values per provisioned column segment.
 const SEGMENT_VALUES: usize = 64 * 1024;
 
@@ -42,6 +41,35 @@ const SEGMENT_VALUES: usize = 64 * 1024;
 #[inline]
 fn range_contains(lo: u64, hi: u64, k: u64) -> bool {
     k >= lo && (k < hi || hi == u64::MAX)
+}
+
+/// Split a point command's `items` by the validity range `[lo, hi)`.
+/// Returns the in-range part and the strays, both in input order.  In
+/// the steady state every key is in range and the in-range part is
+/// `items` itself; only a command that a rebalance left partly stray
+/// copies its in-range part into `scratch`.
+// ALLOC-OK(fn): only the rebalancing slow path pushes: into the retained
+// `scratch`, and into the strays, which ride out as owned payloads.
+fn split_in_range<'a, T: Copy>(
+    items: &'a [T],
+    key: impl Fn(&T) -> u64,
+    lo: u64,
+    hi: u64,
+    scratch: &'a mut Vec<T>,
+) -> (&'a [T], Vec<T>) {
+    if items.iter().all(|it| range_contains(lo, hi, key(it))) {
+        return (items, Vec::new());
+    }
+    scratch.clear();
+    let mut stray = Vec::new();
+    for it in items {
+        if range_contains(lo, hi, key(it)) {
+            scratch.push(*it);
+        } else {
+            stray.push(*it);
+        }
+    }
+    (scratch, stray)
 }
 
 /// Why [`Aeu::absorb_rows`] refused a batch.
@@ -255,6 +283,11 @@ pub struct Aeu {
     reply_rr: usize,
     // Scratch buffers reused across steps.
     scratch_cmds: Vec<TracedCommand>,
+    /// Payload vectors of executed commands, reused by the next decode.
+    payload_pool: PayloadPool,
+    /// In-range part of a command that rebalancing left partly stray.
+    scratch_keys: Vec<u64>,
+    scratch_pairs: Vec<(u64, u64)>,
     scratch_gen: Vec<DataCommand>,
     scratch_values: Vec<Option<u64>>,
     /// Stamped commands executed by the current group, recorded into the
@@ -301,6 +334,9 @@ impl Aeu {
             epoch: 0,
             reply_rr: id.index(),
             scratch_cmds: Vec::new(),
+            payload_pool: PayloadPool::default(),
+            scratch_keys: Vec::new(),
+            scratch_pairs: Vec::new(),
             scratch_gen: Vec::new(),
             scratch_values: Vec::new(),
             traced_pending: Vec::new(),
@@ -326,7 +362,7 @@ impl Aeu {
     /// owner).  No fresh sampling happens on this path.
     // HOT-PATH-CUT: rebalancing slow path — a command that landed on
     // the wrong AEU mid-migration is re-routed; rare by construction.
-    fn forward_stray(&mut self, cmd: DataCommand, stamp: Option<TraceStamp>) -> Vec<FlushInfo> {
+    fn forward_stray(&mut self, cmd: &DataCommand, stamp: Option<TraceStamp>) -> Vec<FlushInfo> {
         let stamp = stamp.map(|s| TraceStamp {
             hops: s.hops + 1,
             ..s
@@ -465,7 +501,7 @@ impl Aeu {
     /// routing front end, charging the costs to `w`.
     pub fn route_external(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
         self.route_and_charge(cmd, w)
@@ -477,7 +513,7 @@ impl Aeu {
     /// are charged to `w` exactly like [`Self::route_external`].
     pub fn route_external_traced(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         stamp: TraceStamp,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
@@ -488,7 +524,7 @@ impl Aeu {
     /// target lookup + encode of routing step 1) and flush costs.
     fn route_and_charge(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
         self.route_and_charge_with(cmd, None, w)
@@ -496,7 +532,7 @@ impl Aeu {
 
     fn route_and_charge_with(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         stamp: Option<TraceStamp>,
         w: &mut WorkSummary,
     ) -> Result<(), RoutingError> {
@@ -641,23 +677,26 @@ impl Aeu {
         if let Some(gen) = &mut self.generator {
             self.scratch_gen.clear();
             gen(self.epoch, &mut self.scratch_gen);
-            let gen_cmds: Vec<DataCommand> = self.scratch_gen.drain(..).collect();
-            for cmd in gen_cmds {
+            let gen_cmds = std::mem::take(&mut self.scratch_gen);
+            for cmd in &gen_cmds {
                 self.route_and_charge(cmd, &mut w)
                     .expect("generated command targets a registered object");
             }
+            self.scratch_gen = gen_cmds;
             let now = now_ns();
             phase_ns[Phase::Route as usize] += now.saturating_sub(mark);
             mark = now;
         }
 
-        // Stage 1: swap incoming buffers and group commands.
-        self.scratch_cmds.clear();
+        // Stage 1: swap incoming buffers and group commands.  Commands
+        // decode into the retained scratch, their payloads into vectors
+        // recycled from earlier steps.
         let cmds = &mut self.scratch_cmds;
+        let pool = &mut self.payload_pool;
         let mut swapped_bytes = 0u64;
         self.incoming.swap_and_consume(|d| {
             swapped_bytes = d.len() as u64;
-            *cmds = DataCommand::decode_all_traced(d);
+            pool.decode_all_traced(d, cmds);
         });
         // Telemetry: every decoded command counts as executed for the
         // conservation ledger — including raw-routing discard mode, where
@@ -698,7 +737,7 @@ impl Aeu {
             if stamped > 0 {
                 self.latency.on_dropped(stamped);
             }
-            self.scratch_cmds.clear();
+            self.recycle_cmds();
         }
         {
             // Everything since the last mark — buffer swap, decode,
@@ -762,6 +801,7 @@ impl Aeu {
                 i = j;
             }
             self.scratch_cmds = cmds;
+            self.recycle_cmds();
         }
 
         // Stage 2 epilogue: flush outgoing buffers before starting over.
@@ -805,6 +845,13 @@ impl Aeu {
         w
     }
 
+    /// Hand the executed commands' payload vectors back to the pool.
+    fn recycle_cmds(&mut self) {
+        for (cmd, _) in self.scratch_cmds.drain(..) {
+            self.payload_pool.recycle(cmd);
+        }
+    }
+
     /// Process one (object, op) group — the coalesced execution stage.
     // HOT-PATH-ROOT: the AEU's per-group execution dispatch; every
     // command the engine processes flows through here.
@@ -841,7 +888,7 @@ impl Aeu {
         if !self.partitions.contains_key(&object) {
             for (c, stamp) in cmds {
                 w.ops.forwarded += 1;
-                let fl = self.forward_stray(c.clone(), *stamp);
+                let fl = self.forward_stray(c, *stamp);
                 charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
             }
             self.emit(TraceEvent::ForwardedStray {
@@ -949,7 +996,7 @@ impl Aeu {
                     _ => unreachable!(),
                 };
                 // Infallible for the same reason as `route_internal`.
-                self.route_and_charge(cmd, w)
+                self.route_and_charge(&cmd, w)
                     .expect("internally produced command targets a registered object");
             }
         }
@@ -965,7 +1012,7 @@ impl Aeu {
             // Partition moved away entirely: forward everything.
             for (c, stamp) in cmds {
                 w.ops.forwarded += c.payload.op_count();
-                let fl = self.forward_stray(c.clone(), *stamp);
+                let fl = self.forward_stray(c, *stamp);
                 charge_flushes_to(w, &self.cfg.node_of, &fl, &self.cfg.params, false);
             }
             self.emit(TraceEvent::ForwardedStray {
@@ -992,15 +1039,12 @@ impl Aeu {
         for (c, stamp) in cmds {
             // BOUNDS: dispatch invariant — process_group groups by op, so
             // every payload in this batch is a Lookup.
-            // ALLOC-OK: the mine/stray partition below stages the batch's
-            // keys; strays ride out as owned payloads across AEUs.
             let Payload::Lookup { keys } = &c.payload else {
                 unreachable!()
             };
             // Validity check: keys outside the updated range are forwarded
             // to the AEU now responsible (Section 3.3.2).
-            let (mine, stray): (Vec<u64>, Vec<u64>) =
-                keys.iter().partition(|&&k| range_contains(lo, hi, k));
+            let (mine, stray) = split_in_range(keys, |&k| k, lo, hi, &mut self.scratch_keys);
             // A stamp is recorded where work happens: here if any keys
             // are local, otherwise it rides on with the strays.
             // ALLOC-OK: trace bookkeeping for the sampled minority, and the
@@ -1027,13 +1071,13 @@ impl Aeu {
             let data = &self.partitions[&object].data;
             let values = &mut self.scratch_values;
             match data {
-                PartitionData::Index(tree) => tree.lookup_batch(&mine, values),
+                PartitionData::Index(tree) => tree.lookup_batch(mine, values),
                 PartitionData::Hash(h) => {
                     values.clear();
                     // Batched probe: AMAC interleaved state machine —
                     // every in-flight probe's next bucket is prefetched
                     // while the others execute, results in input order.
-                    h.lookup_batch(&mine, values);
+                    h.lookup_batch(mine, values);
                     self.tel
                         .counters
                         .batched_probe_keys
@@ -1042,7 +1086,7 @@ impl Aeu {
                 // BOUNDS: restates the column routing debug_assert at fn entry.
                 PartitionData::Column(_) => unreachable!(),
             }
-            self.results.lookup_batch(c.ticket, &mine, values);
+            self.results.lookup_batch(c.ticket, mine, values);
             let n = mine.len() as u64;
             total += n;
             // Result reply path: the callback owner receives the values.
@@ -1085,7 +1129,7 @@ impl Aeu {
             w.ops.forwarded += keys.len() as u64;
             w.cpu_ns += keys.len() as f64 * params.cpu_ns_per_routed_cmd;
             let fl = self.forward_stray(
-                DataCommand {
+                &DataCommand {
                     object,
                     ticket,
                     payload: Payload::Lookup { keys },
@@ -1106,7 +1150,7 @@ impl Aeu {
         let Some(p) = self.partitions.get(&object) else {
             for (c, stamp) in cmds {
                 w.ops.forwarded += c.payload.op_count();
-                let fl = self.forward_stray(c.clone(), *stamp);
+                let fl = self.forward_stray(c, *stamp);
                 charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
             }
             self.emit(TraceEvent::ForwardedStray {
@@ -1127,14 +1171,15 @@ impl Aeu {
                 let mut exec_ns = 0.0;
                 type Pairs = Vec<(u64, u64)>;
                 let mut strays: Vec<(u64, Pairs, Option<TraceStamp>)> = Vec::new();
+                // Taken out for the loop, which journals through `&self`.
+                let mut scratch = std::mem::take(&mut self.scratch_pairs);
                 for (c, stamp) in cmds {
                     // BOUNDS: dispatch invariant — process_group groups by op, so
                     // every payload in this batch is an Upsert.
                     let Payload::Upsert { pairs } = &c.payload else {
                         unreachable!()
                     };
-                    let (mine, stray): (Pairs, Pairs) =
-                        pairs.iter().partition(|&&(k, _)| range_contains(lo, hi, k));
+                    let (mine, stray) = split_in_range(pairs, |&(k, _)| k, lo, hi, &mut scratch);
                     let fully_stray = mine.is_empty() && !stray.is_empty();
                     // ALLOC-OK: trace bookkeeping for the sampled minority; the
                     // pending vector drains every epoch.  The stray push hands the
@@ -1159,7 +1204,7 @@ impl Aeu {
                     };
                     match &mut p.data {
                         PartitionData::Index(tree) => {
-                            for &(k, v) in &mine {
+                            for &(k, v) in mine {
                                 if tree.upsert(k, v).is_none() {
                                     fresh += 1;
                                 }
@@ -1169,7 +1214,7 @@ impl Aeu {
                             // Batched upsert: one single-rehash reserve,
                             // group-prefetched home buckets, input-order
                             // application.
-                            fresh += h.upsert_batch(&mine);
+                            fresh += h.upsert_batch(mine);
                             self.tel
                                 .counters
                                 .batched_probe_keys
@@ -1181,7 +1226,7 @@ impl Aeu {
                     if !mine.is_empty() {
                         self.journal(RedoOp::UpsertPairs {
                             object,
-                            pairs: &mine,
+                            pairs: mine,
                         });
                     }
                     let n = mine.len() as u64;
@@ -1198,6 +1243,7 @@ impl Aeu {
                         FlowKind::Overlapped,
                     ));
                 }
+                self.scratch_pairs = scratch;
                 self.results.upsert_batch(total, fresh);
                 w.cpu_ns += exec_ns;
                 w.ops.upserts += total;
@@ -1216,7 +1262,7 @@ impl Aeu {
                     w.ops.forwarded += pairs.len() as u64;
                     w.cpu_ns += pairs.len() as f64 * params.cpu_ns_per_routed_cmd;
                     let fl = self.forward_stray(
-                        DataCommand {
+                        &DataCommand {
                             object,
                             ticket,
                             payload: Payload::Upsert { pairs },
@@ -1273,7 +1319,7 @@ impl Aeu {
         let Some(p) = self.partitions.get_mut(&object) else {
             for (c, stamp) in cmds {
                 w.ops.forwarded += 1;
-                let fl = self.forward_stray(c.clone(), *stamp);
+                let fl = self.forward_stray(c, *stamp);
                 charge_flushes_to(w, &self.cfg.node_of, &fl, &params, false);
             }
             self.emit(TraceEvent::ForwardedStray {

@@ -301,8 +301,67 @@ impl DataCommand {
 
     /// Decode one command from the front of `buf`, advancing it only on
     /// success.  Never panics: malformed, truncated, or corrupt input is
-    /// reported as a [`DecodeError`] and leaves `buf` untouched.
+    /// reported as a [`DecodeError`] and leaves `buf` untouched.  The
+    /// payload gets fresh vectors; a hot decoder keeps a [`PayloadPool`].
     pub fn try_decode(buf: &mut &[u8]) -> Result<DataCommand, DecodeError> {
+        PayloadPool::default().try_decode(buf)
+    }
+
+    /// Decode every command in a filled buffer region.  Trace markers
+    /// are skipped (their stamps dropped); callers that consume stamps
+    /// use [`DataCommand::decode_all_traced`].
+    pub fn decode_all(buf: &[u8]) -> Vec<DataCommand> {
+        DataCommand::decode_all_traced(buf)
+            .into_iter()
+            .map(|(cmd, _)| cmd)
+            .collect()
+    }
+
+    /// [`PayloadPool::decode_all_traced`] into a fresh vector.
+    pub fn decode_all_traced(buf: &[u8]) -> Vec<TracedCommand> {
+        let mut out = Vec::new();
+        PayloadPool::default().decode_all_traced(buf, &mut out);
+        out
+    }
+}
+
+/// A decoded command with the trace stamp of the in-band marker that
+/// preceded it, if any.
+pub type TracedCommand = (DataCommand, Option<TraceStamp>);
+
+/// Payload vectors kept for reuse by later decodes.
+///
+/// Lookup keys and upsert pairs decode into vectors taken from the
+/// pool, and [`PayloadPool::recycle`] hands them back once the command
+/// has been executed or routed.  A decoder that recycles what it decodes
+/// (the AEU's intake, the server's frame admission) therefore reaches a
+/// steady state in which decoding allocates nothing.
+#[derive(Debug, Default)]
+pub struct PayloadPool {
+    keys: Vec<Vec<u64>>,
+    pairs: Vec<Vec<(u64, u64)>>,
+}
+
+impl PayloadPool {
+    /// Return `cmd`'s payload vector to the pool.
+    pub fn recycle(&mut self, cmd: DataCommand) {
+        match cmd.payload {
+            Payload::Lookup { mut keys } => {
+                keys.clear();
+                self.keys.push(keys);
+            }
+            Payload::Upsert { mut pairs } => {
+                pairs.clear();
+                self.pairs.push(pairs);
+            }
+            Payload::Scan { .. } | Payload::JoinProbe { .. } | Payload::Materialize { .. } => {}
+        }
+    }
+
+    /// Decode one command from the front of `buf`, advancing it only on
+    /// success, with the contract of [`DataCommand::try_decode`].  Point
+    /// payloads are decoded into vectors taken from the pool.
+    pub fn try_decode(&mut self, buf: &mut &[u8]) -> Result<DataCommand, DecodeError> {
         if buf.len() < HEADER_BYTES {
             return Err(DecodeError::Truncated);
         }
@@ -318,9 +377,13 @@ impl DataCommand {
         let payload = match op {
             OP_LOOKUP => {
                 let n = take_u32(&mut body)? as usize;
-                // Cap the pre-allocation by what the body can actually
-                // hold, so a corrupt count cannot demand gigabytes.
-                let mut keys = Vec::with_capacity(n.min(body.len() / 8));
+                if body.len() / 8 < n {
+                    return Err(DecodeError::Truncated);
+                }
+                // The count was checked against the body above, so a
+                // corrupt count cannot demand gigabytes.
+                let mut keys = self.keys.pop().unwrap_or_default();
+                keys.reserve(n);
                 for _ in 0..n {
                     keys.push(take_u64(&mut body)?);
                 }
@@ -328,7 +391,11 @@ impl DataCommand {
             }
             OP_UPSERT => {
                 let n = take_u32(&mut body)? as usize;
-                let mut pairs = Vec::with_capacity(n.min(body.len() / 16));
+                if body.len() / 16 < n {
+                    return Err(DecodeError::Truncated);
+                }
+                let mut pairs = self.pairs.pop().unwrap_or_default();
+                pairs.reserve(n);
                 for _ in 0..n {
                     let k = take_u64(&mut body)?;
                     let v = take_u64(&mut body)?;
@@ -387,41 +454,22 @@ impl DataCommand {
         })
     }
 
-    /// Decode one command from the front of `buf`, advancing it.
+    /// Decode every command in a filled buffer region, appending them to
+    /// `out` with each in-band trace marker attached to the command that
+    /// follows it.
     ///
     /// # Panics
     /// On a malformed buffer — routing buffers are process-internal, so
     /// corruption there is a logic error, not an input error.  External
     /// input (journal replay) goes through [`DataCommand::try_decode`].
-    pub fn decode(buf: &mut &[u8]) -> DataCommand {
-        match DataCommand::try_decode(buf) {
-            Ok(cmd) => cmd,
-            Err(e) => panic!("malformed command buffer: {e}"),
-        }
-    }
-
-    /// Decode every command in a filled buffer region.  Trace markers
-    /// are skipped (their stamps dropped); callers that consume stamps
-    /// use [`DataCommand::decode_all_traced`].
-    pub fn decode_all(buf: &[u8]) -> Vec<DataCommand> {
-        DataCommand::decode_all_traced(buf)
-            .into_iter()
-            .map(|(cmd, _)| cmd)
-            .collect()
-    }
-
-    /// Decode every command in a filled buffer region, attaching each
-    /// in-band trace marker to the command that follows it.
-    ///
     /// A marker always immediately precedes its command: the router
     /// appends the pair in one call and flushes copy whole buffers, so a
     /// marker at the very end of a region (no following command) is a
     /// logic error and panics like any other malformed internal buffer.
-    pub fn decode_all_traced(mut buf: &[u8]) -> Vec<(DataCommand, Option<TraceStamp>)> {
-        let mut out = Vec::new();
+    pub fn decode_all_traced(&mut self, mut buf: &[u8], out: &mut Vec<TracedCommand>) {
         let mut pending: Option<TraceStamp> = None;
-        while !buf.is_empty() {
-            if buf[0] == OP_TRACE {
+        while let Some(&tag) = buf.first() {
+            if tag == OP_TRACE {
                 let (_object, stamp) = match try_decode_trace_marker(&mut buf) {
                     Ok(m) => m,
                     Err(e) => panic!("malformed trace marker: {e}"),
@@ -433,9 +481,12 @@ impl DataCommand {
                 pending = Some(stamp);
                 continue;
             }
-            out.push((DataCommand::decode(&mut buf), pending.take()));
+            let cmd = match self.try_decode(&mut buf) {
+                Ok(cmd) => cmd,
+                Err(e) => panic!("malformed command buffer: {e}"),
+            };
+            out.push((cmd, pending.take()));
         }
-        out
     }
 }
 
@@ -558,7 +609,7 @@ mod tests {
         cmd.encode(&mut buf);
         assert_eq!(buf.len(), cmd.encoded_len());
         let mut slice = buf.as_slice();
-        let back = DataCommand::decode(&mut slice);
+        let back = DataCommand::try_decode(&mut slice).unwrap();
         assert!(slice.is_empty(), "decoder must consume exactly one command");
         assert_eq!(back, cmd);
     }
@@ -848,8 +899,7 @@ mod tests {
         };
         let mut buf = Vec::new();
         cmd.encode(&mut buf);
-        let mut short = &buf[..HEADER_BYTES - 2];
-        DataCommand::decode(&mut short);
+        DataCommand::decode_all_traced(&buf[..HEADER_BYTES - 2]);
     }
 }
 

@@ -20,6 +20,7 @@ use eris_index::PrefixTreeConfig;
 use eris_mem::{MemoryManager, ThreadCache};
 use eris_numa::{CoreId, FlowSolver, HwCounters, NodeId, Topology, VirtualClock};
 use eris_obs::{now_ns, Stamped, TraceEvent, TraceStamp};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -630,11 +631,17 @@ impl Engine {
     /// Submit one command through an AEU's router (client path for tests
     /// and examples; generators are the benchmark path).  Undeliverable
     /// commands — unknown object, point op on a size-partitioned object —
-    /// are rejected with a [`RoutingError`] and enqueue nothing.
-    pub fn submit(&mut self, via: AeuId, cmd: DataCommand) -> Result<(), RoutingError> {
+    /// are rejected with a [`RoutingError`] and enqueue nothing.  The
+    /// command is only read, so a caller that decodes into reused
+    /// storage (the serving layer) can pass it by reference.
+    pub fn submit(
+        &mut self,
+        via: AeuId,
+        cmd: impl Borrow<DataCommand>,
+    ) -> Result<(), RoutingError> {
         let node = self.node_of[via.index()];
         let mut w = crate::aeu::WorkSummary::new(node);
-        self.aeus[via.index()].route_external(cmd, &mut w)?;
+        self.aeus[via.index()].route_external(cmd.borrow(), &mut w)?;
         // Submission costs are charged to the next epoch via pending ns.
         self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
         Ok(())
@@ -646,12 +653,12 @@ impl Engine {
     pub fn submit_traced(
         &mut self,
         via: AeuId,
-        cmd: DataCommand,
+        cmd: impl Borrow<DataCommand>,
         stamp: TraceStamp,
     ) -> Result<(), RoutingError> {
         let node = self.node_of[via.index()];
         let mut w = crate::aeu::WorkSummary::new(node);
-        self.aeus[via.index()].route_external_traced(cmd, stamp, &mut w)?;
+        self.aeus[via.index()].route_external_traced(cmd.borrow(), stamp, &mut w)?;
         self.aeus[via.index()].add_pending_ns(w.cpu_ns + w.latency_ns);
         Ok(())
     }

@@ -73,7 +73,9 @@ pub mod telemetry;
 
 pub use aeu::{AbsorbError, Aeu, OpCounts, Partition, PartitionData, WorkSummary};
 pub use balancer::{BalanceAlgorithm, BalanceMetric, BalancerConfig};
-pub use command::{AeuId, DataCommand, DataObjectId, DecodeError, Payload, StorageOp};
+pub use command::{
+    AeuId, DataCommand, DataObjectId, DecodeError, Payload, PayloadPool, StorageOp, TracedCommand,
+};
 pub use cost::CostParams;
 pub use durability::{ObjectClass, ObjectDescriptor, RedoOp, RedoSink};
 pub use engine::{Engine, EngineConfig, EpochReport, ObjectKind, QuiesceReport};

@@ -31,6 +31,62 @@ use parking_lot::RwLock;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
+/// The per-owner split of one point command's items (keys or pairs):
+/// routing step 1's "commands whose data segments span partitions are
+/// split".  Groups appear in first-appearance owner order.  The router
+/// keeps one per point op and clears and refills it per command, so the
+/// group vectors are reused and steady-state splitting allocates nothing.
+struct OwnerSplit<T> {
+    groups: Vec<(AeuId, Vec<T>)>,
+    /// Groups in use by the current command; the rest are spare.
+    len: usize,
+}
+
+impl<T: Copy> OwnerSplit<T> {
+    fn new() -> Self {
+        OwnerSplit {
+            groups: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Group `items` by the owner of `key(item)` in `table`.
+    // ALLOC-OK(fn): group vectors keep their capacity across commands,
+    // so pushes only allocate until the largest group and the owner
+    // count have been seen.
+    fn group_by_owner(&mut self, table: &RangeTable, items: &[T], key: impl Fn(&T) -> u64) {
+        self.len = 0;
+        for item in items {
+            let owner = table.owner(key(item));
+            // BOUNDS: `len <= groups.len()` — `len` only grows by one
+            // right after a group at index `len` exists.
+            match self.groups[..self.len]
+                .iter_mut()
+                .find(|(a, _)| *a == owner)
+            {
+                Some((_, g)) => g.push(*item),
+                None => {
+                    if self.len == self.groups.len() {
+                        self.groups.push((owner, Vec::new()));
+                    }
+                    // BOUNDS: the push above made index `len` exist.
+                    let (a, g) = &mut self.groups[self.len];
+                    *a = owner;
+                    g.clear();
+                    g.push(*item);
+                    self.len += 1;
+                }
+            }
+        }
+    }
+
+    /// The groups of the last [`OwnerSplit::group_by_owner`].
+    fn groups_mut(&mut self) -> &mut [(AeuId, Vec<T>)] {
+        // BOUNDS: `len <= groups.len()`, as in `group_by_owner`.
+        &mut self.groups[..self.len]
+    }
+}
+
 /// A command the routing layer cannot deliver.  Surfaced through
 /// `Engine::submit` so callers see a typed error instead of a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,6 +285,9 @@ pub struct Router {
     trace_counter: u64,
     /// The engine-wide latency table (stamp accounting).
     latency: Arc<LatencyTable>,
+    /// Split scratch of lookups and upserts, reused across commands.
+    split_keys: OwnerSplit<u64>,
+    split_pairs: OwnerSplit<(u64, u64)>,
 }
 
 impl Router {
@@ -247,6 +306,8 @@ impl Router {
             trace_sample_every: cfg.trace_sample_every,
             trace_counter: 0,
             latency,
+            split_keys: OwnerSplit::new(),
+            split_pairs: OwnerSplit::new(),
         }
     }
 
@@ -301,7 +362,7 @@ impl Router {
     /// or a [`RoutingError`] if the command is undeliverable — in which
     /// case nothing was enqueued.  Every N-th command is stamped with an
     /// end-to-end trace marker (see [`RoutingConfig::trace_sample_every`]).
-    pub fn route(&mut self, cmd: DataCommand) -> Result<Vec<FlushInfo>, RoutingError> {
+    pub fn route(&mut self, cmd: &DataCommand) -> Result<Vec<FlushInfo>, RoutingError> {
         let stamp = self.maybe_stamp();
         self.route_with(cmd, stamp, true)
     }
@@ -313,7 +374,7 @@ impl Router {
     /// fresh stamp and bypasses the 1-in-N counter entirely.
     pub fn route_stamped(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         stamp: TraceStamp,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
         self.route_with(cmd, Some(stamp), true)
@@ -324,7 +385,7 @@ impl Router {
     /// count — and no new sampling happens.
     pub fn route_traced(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         stamp: Option<TraceStamp>,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
         self.route_with(cmd, stamp, false)
@@ -332,7 +393,7 @@ impl Router {
 
     fn route_with(
         &mut self,
-        cmd: DataCommand,
+        cmd: &DataCommand,
         mut stamp: Option<TraceStamp>,
         fresh: bool,
     ) -> Result<Vec<FlushInfo>, RoutingError> {
@@ -344,73 +405,91 @@ impl Router {
         let mut full_targets: Vec<AeuId> = Vec::new();
         match &cmd.payload {
             Payload::Lookup { keys } => {
-                let groups = self.shared.with_table(cmd.object, |t| match t {
-                    PartitionTable::Range(r) => Ok(r.split_by_owner(keys)),
+                let split_keys = &mut self.split_keys;
+                self.shared.with_table(cmd.object, |t| match t {
+                    PartitionTable::Range(r) => {
+                        split_keys.group_by_owner(r, keys, |&k| k);
+                        Ok(())
+                    }
                     PartitionTable::Bitmap(_) => {
                         Err(RoutingError::PointOpOnSizePartitioned(cmd.object))
                     }
                 })??;
-                if groups.len() > 1 {
+                if split_keys.len > 1 {
                     self.stats.splits += 1;
                     split += 1;
                 }
-                for (owner, group_keys) in groups {
+                for (owner, group) in split_keys.groups_mut() {
+                    // The sub-command borrows the group's vector for the
+                    // encode and hands it back to the split scratch.
                     let sub = DataCommand {
                         object: cmd.object,
                         ticket: cmd.ticket,
-                        payload: Payload::Lookup { keys: group_keys },
+                        payload: Payload::Lookup {
+                            keys: std::mem::take(group),
+                        },
                     };
                     self.stats.commands_out += 1;
                     uni += 1;
-                    if self.out.push_unicast_traced(owner, &sub, stamp.take()) {
+                    if self.out.push_unicast_traced(*owner, &sub, stamp.take()) {
                         // ALLOC-OK: full-target list is bounded by the AEU count and
                         // lives for one routing call.
-                        full_targets.push(owner);
+                        full_targets.push(*owner);
+                    }
+                    if let Payload::Lookup { keys } = sub.payload {
+                        *group = keys;
                     }
                 }
             }
             Payload::Upsert { pairs } => {
-                let groups = self.shared.with_table(cmd.object, |t| match t {
-                    PartitionTable::Range(r) => Some(r.split_pairs_by_owner(pairs)),
-                    PartitionTable::Bitmap(_) => None,
-                })?;
-                match groups {
-                    Some(groups) => {
-                        if groups.len() > 1 {
-                            self.stats.splits += 1;
-                            split += 1;
-                        }
-                        for (owner, group_pairs) in groups {
-                            let sub = DataCommand {
-                                object: cmd.object,
-                                ticket: cmd.ticket,
-                                payload: Payload::Upsert { pairs: group_pairs },
-                            };
-                            self.stats.commands_out += 1;
-                            uni += 1;
-                            if self.out.push_unicast_traced(owner, &sub, stamp.take()) {
-                                // ALLOC-OK: full-target list is bounded by the AEU count and
-                                // lives for one routing call.
-                                full_targets.push(owner);
-                            }
-                        }
+                let split_pairs = &mut self.split_pairs;
+                let range_partitioned = self.shared.with_table(cmd.object, |t| match t {
+                    PartitionTable::Range(r) => {
+                        split_pairs.group_by_owner(r, pairs, |&(k, _)| k);
+                        true
                     }
-                    None => {
-                        // Size-partitioned object: appends round-robin over
-                        // the member set (NUMA-aware materialization of
-                        // intermediate results).
-                        let members = self.shared.with_table(cmd.object, |t| t.scan_targets())?;
-                        self.rr_cursor = (self.rr_cursor + 1) % members.len();
-                        // BOUNDS: the cursor was just reduced modulo `members.len()`,
-                        // which `with_table` guarantees non-empty for a provisioned object.
-                        let owner = members[self.rr_cursor];
+                    PartitionTable::Bitmap(_) => false,
+                })?;
+                if range_partitioned {
+                    if split_pairs.len > 1 {
+                        self.stats.splits += 1;
+                        split += 1;
+                    }
+                    for (owner, group) in split_pairs.groups_mut() {
+                        // Borrowed vector, as the lookup arm above.
+                        let sub = DataCommand {
+                            object: cmd.object,
+                            ticket: cmd.ticket,
+                            payload: Payload::Upsert {
+                                pairs: std::mem::take(group),
+                            },
+                        };
                         self.stats.commands_out += 1;
                         uni += 1;
-                        if self.out.push_unicast_traced(owner, &cmd, stamp.take()) {
+                        if self.out.push_unicast_traced(*owner, &sub, stamp.take()) {
                             // ALLOC-OK: full-target list is bounded by the AEU count and
                             // lives for one routing call.
-                            full_targets.push(owner);
+                            full_targets.push(*owner);
                         }
+                        if let Payload::Upsert { pairs } = sub.payload {
+                            *group = pairs;
+                        }
+                    }
+                } else {
+                    // Size-partitioned object: appends round-robin over
+                    // the member set (NUMA-aware materialization of
+                    // intermediate results).
+                    let members = self.shared.with_table(cmd.object, |t| t.scan_targets())?;
+                    self.rr_cursor = (self.rr_cursor + 1) % members.len();
+                    // BOUNDS: the cursor was just reduced modulo `members.len()`,
+                    // which `with_table` guarantees non-empty for a provisioned object.
+                    let owner = members[self.rr_cursor];
+                    self.stats.commands_out += 1;
+                    uni += 1;
+                    if self.out.push_unicast_traced(owner, cmd, stamp.take()) {
+                        // ALLOC-OK: full-target list is bounded by the AEU count and
+                        // lives for one routing call.
+                        full_targets.push(owner);
                     }
                 }
             }
@@ -438,7 +517,7 @@ impl Router {
                 multi += targets.len() as u64;
                 // ALLOC-OK: extends the per-call full-target list (bounded by the
                 // AEU count).
-                full_targets.extend(self.out.push_multicast(&targets, &cmd));
+                full_targets.extend(self.out.push_multicast(&targets, cmd));
             }
         }
         // Stamp accounting at the emission point: a fresh stamp enters
@@ -551,10 +630,41 @@ mod tests {
     }
 
     #[test]
+    fn split_by_owner_groups_keys() {
+        let t = RangeTable::even(100, &[AeuId(0), AeuId(1)]);
+        let mut split = OwnerSplit::new();
+        split.group_by_owner(&t, &[60, 1, 2, 70, 3], |&k| k);
+        // Groups appear in first-appearance owner order.
+        assert_eq!(
+            split.groups_mut(),
+            &[(AeuId(1), vec![60, 70]), (AeuId(0), vec![1, 2, 3])]
+        );
+        // A refill reuses the groups: stale items never leak through.
+        split.group_by_owner(&t, &[5], |&k| k);
+        assert_eq!(split.groups_mut(), &[(AeuId(0), vec![5])]);
+        split.group_by_owner(&t, &[], |&k| k);
+        assert!(split.groups_mut().is_empty());
+    }
+
+    #[test]
+    fn split_pairs_by_owner_keeps_values_with_their_keys() {
+        let t = RangeTable::even(100, &[AeuId(0), AeuId(1)]);
+        let mut split = OwnerSplit::new();
+        split.group_by_owner(&t, &[(1, 10), (60, 600), (2, 20)], |&(k, _)| k);
+        assert_eq!(
+            split.groups_mut(),
+            &[
+                (AeuId(0), vec![(1, 10), (2, 20)]),
+                (AeuId(1), vec![(60, 600)])
+            ]
+        );
+    }
+
+    #[test]
     fn lookup_splits_across_owners() {
         let (shared, mut router) = setup(4, 400);
         router
-            .route(DataCommand {
+            .route(&DataCommand {
                 object: DataObjectId(0),
                 ticket: 5,
                 payload: Payload::Lookup {
@@ -576,7 +686,7 @@ mod tests {
     fn scan_multicasts_to_overlapping_owners() {
         let (shared, mut router) = setup(4, 400);
         router
-            .route(DataCommand {
+            .route(&DataCommand {
                 object: DataObjectId(0),
                 ticket: 1,
                 payload: Payload::Scan {
@@ -597,7 +707,7 @@ mod tests {
     fn full_scan_reaches_everyone() {
         let (shared, mut router) = setup(3, 300);
         router
-            .route(DataCommand {
+            .route(&DataCommand {
                 object: DataObjectId(0),
                 ticket: 1,
                 payload: Payload::Scan {
@@ -623,7 +733,7 @@ mod tests {
         let mut router = Router::new(AeuId(0), Arc::clone(&shared), RoutingConfig::default());
         for i in 0..6 {
             router
-                .route(DataCommand {
+                .route(&DataCommand {
                     object: DataObjectId(0),
                     ticket: i,
                     payload: Payload::Upsert {
@@ -652,7 +762,7 @@ mod tests {
         let mut router = Router::new(AeuId(0), Arc::clone(&shared), cfg);
         for i in 0..8 {
             router
-                .route(DataCommand {
+                .route(&DataCommand {
                     object: DataObjectId(0),
                     ticket: i,
                     payload: Payload::Lookup { keys: vec![i] },
@@ -689,7 +799,7 @@ mod tests {
         });
         router
             .route_traced(
-                DataCommand {
+                &DataCommand {
                     object: DataObjectId(0),
                     ticket: 9,
                     payload: Payload::Lookup { keys: vec![60] },
@@ -728,7 +838,7 @@ mod tests {
         };
         router
             .route_stamped(
-                DataCommand {
+                &DataCommand {
                     object: DataObjectId(0),
                     ticket: 1,
                     payload: Payload::Lookup { keys: vec![60] },
@@ -788,7 +898,7 @@ mod tests {
         for i in 0..10 {
             flushed.extend(
                 router
-                    .route(DataCommand {
+                    .route(&DataCommand {
                         object: DataObjectId(0),
                         ticket: i,
                         payload: Payload::Lookup { keys: vec![60 + i] },
@@ -805,7 +915,7 @@ mod tests {
     fn unknown_object_is_a_typed_error() {
         let (_, mut router) = setup(2, 100);
         let err = router
-            .route(DataCommand {
+            .route(&DataCommand {
                 object: DataObjectId(7),
                 ticket: 0,
                 payload: Payload::Lookup { keys: vec![1] },
@@ -825,7 +935,7 @@ mod tests {
         );
         let mut router = Router::new(AeuId(0), Arc::clone(&shared), RoutingConfig::default());
         let err = router
-            .route(DataCommand {
+            .route(&DataCommand {
                 object: DataObjectId(0),
                 ticket: 0,
                 payload: Payload::Lookup { keys: vec![1] },

@@ -84,39 +84,6 @@ impl RangeTable {
         self.version += 1;
     }
 
-    /// Group `keys` by owner: returns `(owner, keys)` groups — the batch
-    /// lookup + command splitting of routing step 1.
-    pub fn split_by_owner(&self, keys: &[u64]) -> Vec<(AeuId, Vec<u64>)> {
-        let mut groups: Vec<(AeuId, Vec<u64>)> = Vec::new();
-        for &k in keys {
-            let owner = self.owner(k);
-            // ALLOC-OK: the split groups own their key vectors by design —
-            // each becomes the payload of a per-owner sub-command.
-            // ALLOC-OK: group count is bounded by the owner count.
-            match groups.iter_mut().find(|(a, _)| *a == owner) {
-                Some((_, v)) => v.push(k),
-                None => groups.push((owner, vec![k])),
-            }
-        }
-        groups
-    }
-
-    /// Group `(key, value)` pairs by owner.
-    pub fn split_pairs_by_owner(&self, pairs: &[(u64, u64)]) -> Vec<(AeuId, Vec<(u64, u64)>)> {
-        let mut groups: Vec<(AeuId, Vec<(u64, u64)>)> = Vec::new();
-        for &(k, v) in pairs {
-            let owner = self.owner(k);
-            // ALLOC-OK: the split groups own their pair vectors by design —
-            // each becomes the payload of a per-owner sub-command.
-            // ALLOC-OK: group count is bounded by the owner count.
-            match groups.iter_mut().find(|(a, _)| *a == owner) {
-                Some((_, g)) => g.push((k, v)),
-                None => groups.push((owner, vec![(k, v)])),
-            }
-        }
-        groups
-    }
-
     /// Owners whose range intersects `[lo, hi)` — except that
     /// `hi == u64::MAX` means unbounded-above (matching
     /// [`eris_column::Predicate::Range`]'s sentinel), so a query for
@@ -236,17 +203,6 @@ mod tests {
         );
         assert_eq!(t.range_of(1, 1000), (250, 500));
         assert_eq!(t.range_of(3, 1000), (750, 1000));
-    }
-
-    #[test]
-    fn split_by_owner_groups_keys() {
-        let t = RangeTable::even(100, &aeus(2));
-        let groups = t.split_by_owner(&[1, 60, 2, 70, 3]);
-        assert_eq!(groups.len(), 2);
-        let g0 = groups.iter().find(|(a, _)| *a == AeuId(0)).unwrap();
-        let g1 = groups.iter().find(|(a, _)| *a == AeuId(1)).unwrap();
-        assert_eq!(g0.1, vec![1, 2, 3]);
-        assert_eq!(g1.1, vec![60, 70]);
     }
 
     #[test]

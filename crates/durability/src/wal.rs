@@ -292,16 +292,20 @@ impl Wal {
         &self.path
     }
 
-    /// Frame `payload` into the group-commit buffer.  Returns the bytes
-    /// now pending so the caller can trigger an early flush.
-    pub fn append_payload(&self, payload: &[u8]) -> usize {
+    /// Frame one redo record into the group-commit buffer: reserve the
+    /// `[len][crc]` header, encode the payload in place behind it, then
+    /// patch the header.  Returns the bytes now pending so the caller can
+    /// trigger an early flush.
+    pub fn append(&self, op: &RedoOp<'_>) -> usize {
         let mut inner = self.inner.lock();
-        inner
-            .buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        inner.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        inner.buf.extend_from_slice(payload);
-        inner.buf.len()
+        let buf = &mut inner.buf;
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        encode_op(op, buf);
+        let (header, payload) = buf[start..].split_at_mut(8);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+        buf.len()
     }
 
     /// Group commit: write the pending buffer and `fsync`.  Fail points
@@ -318,19 +322,25 @@ impl Wal {
         if inner.buf.is_empty() {
             return 0;
         }
+        let inner = &mut *inner;
         if fail.hit(FP_JOURNAL_TORN_WRITE) {
             // Die mid-`write(2)`: a prefix that ends inside the last
             // record's framing reaches the file, and no sync happens.
             let torn = inner.buf.len().saturating_sub(3);
-            let prefix = inner.buf[..torn].to_vec();
-            let _ = inner.file.write_all(&prefix);
+            let _ = inner.file.write_all(&inner.buf[..torn]);
             return 0;
         }
-        let buf = std::mem::take(&mut inner.buf);
-        if inner.file.write_all(&buf).is_err() {
-            inner.buf = buf;
+        if inner.file.write_all(&inner.buf).is_err() {
+            // Nothing is dropped: the pending records stay buffered for
+            // the next group commit.
             return 0;
         }
+        // The buffer keeps its capacity for the next group, up to about
+        // one group commit's worth (a huge bulk absorb gives the rest
+        // back).
+        let n = inner.buf.len() as u64;
+        inner.buf.clear();
+        inner.buf.shrink_to(2 * GROUP_COMMIT_BYTES);
         if fail.hit(FP_JOURNAL_PRE_SYNC) {
             // Written but never synced: the bytes may or may not survive
             // a real crash; this harness keeps them (the reader must
@@ -340,7 +350,6 @@ impl Wal {
         if inner.file.sync_data().is_err() {
             return 0;
         }
-        let n = buf.len() as u64;
         inner.synced_lsn += n;
         if let Some(shard) = shard {
             shard.counters.journal_bytes.fetch_add(n, Relaxed);
@@ -477,10 +486,7 @@ impl eris_core::durability::RedoSink for JournalSink {
         if self.fail.crashed() {
             return;
         }
-        let mut payload = Vec::new();
-        encode_op(&op, &mut payload);
-        let wal = &self.wals[aeu.index()];
-        let pending = wal.append_payload(&payload);
+        let pending = self.wals[aeu.index()].append(&op);
         {
             let shards = self.shards.read();
             if let Some(shard) = shards.get(aeu.index()) {
@@ -520,9 +526,9 @@ mod tests {
         ))
     }
 
-    #[test]
-    fn ops_roundtrip_through_the_record_codec() {
-        let ops = [
+    /// One record of every redo op.
+    fn every_op() -> Vec<RedoOp<'static>> {
+        vec![
             RedoOp::CreateObject {
                 class: ObjectClass::Tree,
                 object: DataObjectId(3),
@@ -551,7 +557,89 @@ mod tests {
                 lo: 0,
                 hi: 512,
             },
-        ];
+        ]
+    }
+
+    /// The journal framing of one record, built the obvious way:
+    /// `[len][crc32(payload)][payload]` around a separately encoded payload.
+    fn golden_record(op: &RedoOp<'_>) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_op(op, &mut payload);
+        let mut record = Vec::new();
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        record.extend_from_slice(&payload);
+        record
+    }
+
+    #[test]
+    fn in_place_framing_matches_the_golden_encoding() {
+        let path = temp_path("golden");
+        let fail = FailPoints::new();
+        let ops = every_op();
+        let wal = Wal::open(&path).unwrap();
+        let mut expected = WAL_MAGIC.to_vec();
+        for op in &ops {
+            let record = golden_record(op);
+            expected.extend_from_slice(&record);
+            // Each append reports the pending group, header included.
+            assert_eq!(wal.append(op), expected.len() - WAL_MAGIC.len());
+        }
+        assert_eq!(wal.flush(&fail, None), (expected.len() - 8) as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+
+        let (replayed, torn) = read_tail(&path, 0).unwrap();
+        assert_eq!(torn, 0);
+        let decoded: Vec<JournalOp> = ops
+            .iter()
+            .map(|op| decode_op(&golden_record(op)[8..]).unwrap())
+            .collect();
+        assert_eq!(replayed, decoded);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_write_keeps_pending_records_for_the_next_flush() {
+        let path = temp_path("retry");
+        let fail = FailPoints::new();
+        let ops = every_op();
+        let wal = Wal::open(&path).unwrap();
+        for op in &ops {
+            wal.append(op);
+        }
+        // Swap in a read-only handle: the group commit's write fails.
+        let writable = {
+            let mut inner = wal.inner.lock();
+            let read_only = File::open(&path).unwrap();
+            std::mem::replace(&mut inner.file, read_only)
+        };
+        assert_eq!(wal.flush(&fail, None), 0, "nothing made durable");
+        assert_eq!(wal.synced_lsn(), WAL_MAGIC.len() as u64);
+        // The records are still pending: one more appends behind them,
+        // and the next flush writes all of them in order.
+        let last = RedoOp::RemoveTail {
+            object: DataObjectId(9),
+            n: 1,
+        };
+        wal.append(&last);
+        wal.inner.lock().file = writable;
+        assert!(wal.flush(&fail, None) > 0);
+        let (replayed, _) = read_tail(&path, 0).unwrap();
+        let mut expected: Vec<JournalOp> = ops
+            .iter()
+            .map(|op| decode_op(&golden_record(op)[8..]).unwrap())
+            .collect();
+        expected.push(JournalOp::RemoveTail {
+            object: DataObjectId(9),
+            n: 1,
+        });
+        assert_eq!(replayed, expected);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn ops_roundtrip_through_the_record_codec() {
+        let ops = every_op();
         for op in &ops {
             let mut payload = Vec::new();
             encode_op(op, &mut payload);
@@ -575,7 +663,10 @@ mod tests {
         let fail = FailPoints::new();
         {
             let wal = Wal::open(&path).unwrap();
-            wal.append_payload(&[TAG_REMOVE_TAIL, 1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+            wal.append(&RedoOp::RemoveTail {
+                object: DataObjectId(1),
+                n: 9,
+            });
             assert!(wal.flush(&fail, None) > 0);
         }
         let intact = std::fs::metadata(&path).unwrap().len();
@@ -598,26 +689,16 @@ mod tests {
         let path = temp_path("cut");
         let fail = FailPoints::new();
         let wal = Wal::open(&path).unwrap();
-        let mut p1 = Vec::new();
-        encode_op(
-            &RedoOp::RemoveTail {
-                object: DataObjectId(1),
-                n: 1,
-            },
-            &mut p1,
-        );
-        wal.append_payload(&p1);
+        wal.append(&RedoOp::RemoveTail {
+            object: DataObjectId(1),
+            n: 1,
+        });
         wal.flush(&fail, None);
         let cut = wal.synced_lsn();
-        let mut p2 = Vec::new();
-        encode_op(
-            &RedoOp::RemoveTail {
-                object: DataObjectId(2),
-                n: 2,
-            },
-            &mut p2,
-        );
-        wal.append_payload(&p2);
+        wal.append(&RedoOp::RemoveTail {
+            object: DataObjectId(2),
+            n: 2,
+        });
         wal.flush(&fail, None);
 
         let (all, _) = read_tail(&path, 0).unwrap();

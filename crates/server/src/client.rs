@@ -74,7 +74,7 @@ impl<T: Transport> Client<T> {
             tenant,
             conn: 0,
             seq: 0,
-            payload: vec![],
+            payload: &[],
         }
         .encode(&mut c.outbuf);
         c
@@ -121,7 +121,7 @@ impl<T: Transport> Client<T> {
         self.credits -= 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        RequestFrame::command(self.tenant, self.conn, seq, cmd).encode(&mut self.outbuf);
+        RequestFrame::encode_command(self.tenant, self.conn, seq, cmd, &mut self.outbuf);
         self.stats.sent += 1;
         true
     }
@@ -133,7 +133,7 @@ impl<T: Transport> Client<T> {
             tenant: self.tenant,
             conn: self.conn,
             seq: self.next_seq,
-            payload: vec![],
+            payload: &[],
         }
         .encode(&mut self.outbuf);
         self.next_seq += 1;
@@ -148,25 +148,28 @@ impl<T: Transport> Client<T> {
             }
         }
         let _ = self.transport.try_read(&mut self.inbuf);
+        // Decode behind a cursor and compact the buffer once at the end,
+        // so a read holding many responses is consumed in linear time.
+        let mut consumed = 0;
         let mut settled = 0;
         loop {
-            let mut cur = self.inbuf.as_slice();
+            let mut cur = &self.inbuf[consumed..];
             let before = cur.len();
             match ResponseFrame::try_decode(&mut cur) {
                 Ok(None) => break,
                 Err(_) => {
                     self.stats.protocol_errors += 1;
-                    self.inbuf.clear();
+                    consumed = self.inbuf.len();
                     self.transport.close();
                     break;
                 }
                 Ok(Some(resp)) => {
-                    let consumed = before - cur.len();
-                    self.inbuf.drain(..consumed);
+                    consumed += before - cur.len();
                     settled += self.apply(resp);
                 }
             }
         }
+        self.inbuf.drain(..consumed);
         settled
     }
 
@@ -231,6 +234,103 @@ mod tests {
         assert!(!c.try_send(&cmd()));
         assert_eq!(c.stats().credit_stalls, 1);
         assert_eq!(c.stats().sent, 0);
+    }
+
+    fn resp(kind: RespKind, code: u8, seq: u64, credits: u32, retry: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        ResponseFrame {
+            kind,
+            code,
+            conn: 5,
+            seq,
+            credits,
+            retry_after_ms: retry,
+        }
+        .encode(&mut out);
+        out
+    }
+
+    /// What a client made of a response stream: its stats, credit
+    /// mirror, session state, last retry hint, the settlements `poll`
+    /// reported, and the bytes left in its reassembly buffer.
+    type ClientView = (ClientStats, u32, bool, u32, Option<u32>, usize, Vec<u8>);
+
+    /// Deliver `reads` to a fresh client, one `poll` per read.
+    fn poll_reads(reads: &[&[u8]]) -> ClientView {
+        let (a, mut server_side) = loopback_pair();
+        let mut c = Client::connect(a, 0);
+        let mut settled = 0;
+        for read in reads {
+            server_side.try_write(read).unwrap();
+            settled += c.poll();
+        }
+        (
+            c.stats(),
+            c.credits(),
+            c.is_welcomed(),
+            c.conn_id(),
+            c.take_retry_hint(),
+            settled,
+            c.inbuf.clone(),
+        )
+    }
+
+    /// Every two-read split of the concatenated responses leaves the
+    /// client exactly where one response per read does.
+    fn assert_split_invariant(frames: &[Vec<u8>]) -> ClientView {
+        let per_frame: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+        let reference = poll_reads(&per_frame);
+        let stream = frames.concat();
+        for cut in 0..=stream.len() {
+            let (head, tail) = stream.split_at(cut);
+            assert_eq!(poll_reads(&[head, tail]), reference, "split at byte {cut}");
+        }
+        reference
+    }
+
+    #[test]
+    fn poll_is_independent_of_read_boundaries() {
+        let partial = resp(RespKind::Accepted, 0, 5, 1, 0);
+        let frames = vec![
+            resp(RespKind::Welcome, 0, 0, 4, 0),
+            resp(RespKind::Accepted, 0, 1, 1, 0),
+            resp(RespKind::Shed, crate::frame::SHED_OVERLOAD, 2, 1, 40),
+            resp(RespKind::QuotaDenied, 0, 3, 1, 70),
+            resp(RespKind::Rejected, crate::frame::REJ_DECODE, 4, 1, 0),
+            partial[..7].to_vec(),
+        ];
+        let (stats, credits, welcomed, conn, hint, settled, left) = assert_split_invariant(&frames);
+        assert_eq!(
+            (
+                stats.accepted,
+                stats.shed,
+                stats.quota_denied,
+                stats.rejected
+            ),
+            (1, 1, 1, 1)
+        );
+        assert_eq!(stats.protocol_errors, 0);
+        assert_eq!(
+            (credits, welcomed, conn, hint, settled),
+            (8, true, 5, Some(70), 4)
+        );
+        assert_eq!(left, partial[..7].to_vec(), "the partial response waits");
+    }
+
+    #[test]
+    fn bad_magic_mid_buffer_is_one_protocol_error_at_any_read_boundary() {
+        let mut garbage = resp(RespKind::Accepted, 0, 2, 1, 0);
+        garbage[0] = 0x45;
+        let frames = vec![
+            resp(RespKind::Welcome, 0, 0, 4, 0),
+            resp(RespKind::Accepted, 0, 1, 1, 0),
+            garbage,
+            resp(RespKind::Accepted, 0, 3, 1, 0),
+        ];
+        let (stats, credits, _, _, _, settled, left) = assert_split_invariant(&frames);
+        assert_eq!((stats.accepted, stats.protocol_errors), (1, 1));
+        assert_eq!((credits, settled), (5, 1));
+        assert!(left.is_empty(), "the stream is abandoned, not re-parsed");
     }
 
     #[test]

@@ -125,14 +125,15 @@ pub const REJ_ROUTING: u8 = 2;
 pub const REJ_PROTOCOL: u8 = 3;
 pub const REJ_TENANT: u8 = 4;
 
-/// One decoded request frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestFrame {
+/// One request frame.  The payload is borrowed: a decoded frame points
+/// into the connection's reassembly buffer, so decoding copies nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestFrame<'a> {
     pub kind: ReqKind,
     pub tenant: u32,
     pub conn: u32,
     pub seq: u64,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
 /// One decoded response frame (fixed-size, no payload).
@@ -190,36 +191,43 @@ fn read_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-impl RequestFrame {
-    /// A `Command` frame wrapping one `DataCommand`.
-    pub fn command(tenant: u32, conn: u32, seq: u64, cmd: &DataCommand) -> RequestFrame {
-        let mut payload = Vec::with_capacity(cmd.encoded_len());
-        cmd.encode(&mut payload);
-        RequestFrame {
-            kind: ReqKind::Command,
-            tenant,
-            conn,
-            seq,
-            payload,
-        }
+fn put_req_header(out: &mut Vec<u8>, kind: ReqKind, tenant: u32, conn: u32, seq: u64, len: usize) {
+    out.push(REQ_MAGIC);
+    out.push(kind.tag());
+    put_u32(out, tenant);
+    put_u32(out, conn);
+    put_u64(out, seq);
+    put_u32(out, len as u32);
+}
+
+impl RequestFrame<'_> {
+    /// Append a `Command` frame carrying `cmd` to `out`, encoding the
+    /// command straight behind the header.
+    pub fn encode_command(tenant: u32, conn: u32, seq: u64, cmd: &DataCommand, out: &mut Vec<u8>) {
+        let len = cmd.encoded_len();
+        out.reserve(REQ_HEADER_BYTES + len);
+        put_req_header(out, ReqKind::Command, tenant, conn, seq, len);
+        cmd.encode(out);
     }
 
     // HOT-PATH-CUT: network frame assembly on the session thread;
     // the frame owns its output vector by design.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(REQ_MAGIC);
-        out.push(self.kind.tag());
-        put_u32(out, self.tenant);
-        put_u32(out, self.conn);
-        put_u64(out, self.seq);
-        put_u32(out, self.payload.len() as u32);
-        out.extend_from_slice(&self.payload);
+        put_req_header(
+            out,
+            self.kind,
+            self.tenant,
+            self.conn,
+            self.seq,
+            self.payload.len(),
+        );
+        out.extend_from_slice(self.payload);
     }
 
     /// Decode one frame from the front of `buf`, advancing it only on
     /// success.  `Ok(None)` means the frame is not complete yet (read
     /// more bytes); `Err` means the stream is not speaking this protocol.
-    pub fn try_decode(buf: &mut &[u8]) -> Result<Option<RequestFrame>, FrameError> {
+    pub fn try_decode<'a>(buf: &mut &'a [u8]) -> Result<Option<RequestFrame<'a>>, FrameError> {
         if buf.len() < REQ_HEADER_BYTES {
             // Partial headers are only "incomplete" if what we have so
             // far could still become a valid header.
@@ -246,7 +254,7 @@ impl RequestFrame {
         if b.len() < total {
             return Ok(None);
         }
-        let payload = b[REQ_HEADER_BYTES..total].to_vec();
+        let payload = &b[REQ_HEADER_BYTES..total];
         *buf = &b[total..];
         Ok(Some(RequestFrame {
             kind,
@@ -315,9 +323,8 @@ mod tests {
 
     #[test]
     fn request_roundtrip_including_split_delivery() {
-        let f = RequestFrame::command(7, 9, 1001, &sample_cmd());
         let mut bytes = Vec::new();
-        f.encode(&mut bytes);
+        RequestFrame::encode_command(7, 9, 1001, &sample_cmd(), &mut bytes);
         // Every prefix is "incomplete", never an error, never a frame.
         for cut in 0..bytes.len() {
             let mut cur = &bytes[..cut];
@@ -326,9 +333,17 @@ mod tests {
         let mut cur = bytes.as_slice();
         let back = RequestFrame::try_decode(&mut cur).unwrap().unwrap();
         assert!(cur.is_empty());
-        assert_eq!(back, f);
-        let mut dec = &back.payload[..];
+        assert_eq!(
+            (back.kind, back.tenant, back.conn, back.seq),
+            (ReqKind::Command, 7, 9, 1001)
+        );
+        let mut dec = back.payload;
         assert_eq!(DataCommand::try_decode(&mut dec).unwrap(), sample_cmd());
+        assert!(dec.is_empty());
+        // The generic encoder frames the borrowed payload identically.
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes);
     }
 
     #[test]
@@ -361,7 +376,7 @@ mod tests {
             tenant: 0,
             conn: 0,
             seq: 0,
-            payload: vec![],
+            payload: &[],
         };
         let mut bytes = Vec::new();
         f.encode(&mut bytes);
@@ -429,19 +444,22 @@ mod proptests {
             ),
             chunk in 1usize..64,
         ) {
-            let frames: Vec<RequestFrame> = frames
+            let frames: Vec<(ReqKind, u32, u32, u64, Vec<u8>)> = frames
                 .into_iter()
-                .map(|(k, tenant, conn, seq, payload)| RequestFrame {
-                    kind: ReqKind::from_tag(k).unwrap(),
-                    tenant,
-                    conn,
-                    seq,
-                    payload,
+                .map(|(k, tenant, conn, seq, payload)| {
+                    (ReqKind::from_tag(k).unwrap(), tenant, conn, seq, payload)
                 })
                 .collect();
             let mut stream = Vec::new();
-            for f in &frames {
-                f.encode(&mut stream);
+            for (kind, tenant, conn, seq, payload) in &frames {
+                RequestFrame {
+                    kind: *kind,
+                    tenant: *tenant,
+                    conn: *conn,
+                    seq: *seq,
+                    payload,
+                }
+                .encode(&mut stream);
             }
             // Feed the stream in `chunk`-byte slices through a reassembly
             // buffer, the way a transport would.
@@ -453,9 +471,9 @@ mod proptests {
                     let mut cur = buf.as_slice();
                     match RequestFrame::try_decode(&mut cur) {
                         Ok(Some(f)) => {
+                            got.push((f.kind, f.tenant, f.conn, f.seq, f.payload.to_vec()));
                             let consumed = buf.len() - cur.len();
                             buf.drain(..consumed);
-                            got.push(f);
                         }
                         Ok(None) => break,
                         Err(e) => panic!("unexpected frame error: {e}"),

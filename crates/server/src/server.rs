@@ -29,7 +29,7 @@ use crate::frame::{
     REJ_TENANT, SHED_OVERLOAD,
 };
 use crate::transport::Transport;
-use eris_core::{DataCommand, Engine, QuiesceReport};
+use eris_core::{Engine, PayloadPool, QuiesceReport};
 use eris_obs::latency::LogHistogram;
 use eris_obs::{
     render_jsonl, render_prometheus, HistogramFamily, Metric, MetricKind, Phase, SloConfig,
@@ -331,6 +331,9 @@ pub struct EngineServer {
     slo: SloEngine,
     /// Commands seen by the 1-in-N trace sampler.
     trace_seq: u64,
+    /// Payload vectors for command decode, recycled once a command is
+    /// routed or settled.
+    payload_pool: PayloadPool,
 }
 
 impl EngineServer {
@@ -347,6 +350,7 @@ impl EngineServer {
             net_wait,
             slo,
             trace_seq: 0,
+            payload_pool: PayloadPool::default(),
         }
     }
 
@@ -533,15 +537,17 @@ impl EngineServer {
                 conn.closing = true;
             }
         }
-        loop {
-            if conn.closing {
-                break;
-            }
-            let mut cur = conn.inbuf.as_slice();
+        // Frames are decoded behind a cursor and handled while their
+        // payloads still borrow the reassembly buffer; the consumed prefix
+        // is compacted away once per read, not once per frame.
+        let inbuf = std::mem::take(&mut conn.inbuf);
+        let mut consumed = 0;
+        while !conn.closing {
+            let mut cur = &inbuf[consumed..];
             let before = cur.len();
             match RequestFrame::try_decode(&mut cur) {
                 Ok(None) => break,
-                Err(err) => {
+                Err(_) => {
                     self.counters.protocol_errors += 1;
                     conn.pending.push(PendingResponse {
                         kind: RespKind::Rejected,
@@ -554,8 +560,7 @@ impl EngineServer {
                         s.rejected.fetch_add(1, Relaxed);
                         report.rejected += 1;
                     }
-                    let _ = err;
-                    conn.inbuf.clear();
+                    consumed = inbuf.len();
                     conn.closing = true;
                     break;
                 }
@@ -569,14 +574,15 @@ impl EngineServer {
                         report.stalled_conns += 1;
                         break;
                     }
-                    let consumed = before - cur.len();
-                    conn.inbuf.drain(..consumed);
+                    consumed += before - cur.len();
                     self.counters.frames_received += 1;
                     report.frames += 1;
                     self.handle_frame(conn, frame, now, load, report);
                 }
             }
         }
+        conn.inbuf = inbuf;
+        conn.inbuf.drain(..consumed);
         if conn.inbuf.is_empty() {
             conn.inbuf_since_ns = None;
         } else if conn.inbuf_since_ns.is_none() {
@@ -587,7 +593,7 @@ impl EngineServer {
     fn handle_frame(
         &mut self,
         conn: &mut Conn,
-        frame: RequestFrame,
+        frame: RequestFrame<'_>,
         now: u64,
         load: LoadSignal,
         report: &mut PumpReport,
@@ -662,8 +668,8 @@ impl EngineServer {
                     reject(conn, REJ_PROTOCOL, frame.seq);
                     return;
                 }
-                let mut body = frame.payload.as_slice();
-                let cmd = match DataCommand::try_decode(&mut body) {
+                let mut body = frame.payload;
+                let cmd = match self.payload_pool.try_decode(&mut body) {
                     Ok(cmd) if body.is_empty() => cmd,
                     _ => {
                         if let Some(s) = self.admission.shard(tenant) {
@@ -741,8 +747,8 @@ impl EngineServer {
                     }
                     Admit::Granted => {
                         let submitted = match stamp {
-                            Some(stamp) => self.engine.submit_traced(conn.via, cmd, stamp),
-                            None => self.engine.submit(conn.via, cmd),
+                            Some(stamp) => self.engine.submit_traced(conn.via, &cmd, stamp),
+                            None => self.engine.submit(conn.via, &cmd),
                         };
                         match submitted {
                             Ok(()) => {
@@ -774,6 +780,7 @@ impl EngineServer {
                         }
                     }
                 }
+                self.payload_pool.recycle(cmd);
             }
         }
     }
@@ -882,6 +889,7 @@ impl EngineServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::REQ_HEADER_BYTES;
     use crate::transport::loopback_pair;
     use eris_core::prelude::*;
     use eris_numa::machines::custom_machine;
@@ -913,7 +921,7 @@ mod tests {
             tenant: 0,
             conn: 0,
             seq: 0,
-            payload: vec![],
+            payload: &[],
         }
         .encode(&mut bytes);
         client_side.try_write(&bytes).unwrap();
@@ -934,7 +942,7 @@ mod tests {
             payload: Payload::Lookup { keys: vec![64] },
         };
         let mut bytes = Vec::new();
-        RequestFrame::command(0, id, 1, &cmd).encode(&mut bytes);
+        RequestFrame::encode_command(0, id, 1, &cmd, &mut bytes);
         client_side.try_write(&bytes).unwrap();
         server.pump();
 
@@ -970,7 +978,7 @@ mod tests {
             tenant: 0,
             conn: 0,
             seq: 0,
-            payload: vec![],
+            payload: &[],
         }
         .encode(&mut bytes);
         for seq in 1..=8u64 {
@@ -981,7 +989,7 @@ mod tests {
                     keys: vec![(seq % 1000) * 64],
                 },
             };
-            RequestFrame::command(0, id, seq, &cmd).encode(&mut bytes);
+            RequestFrame::encode_command(0, id, seq, &cmd, &mut bytes);
         }
         client_side.try_write(&bytes).unwrap();
         server.pump_until_quiet(32);
@@ -1017,6 +1025,166 @@ mod tests {
         );
     }
 
+    /// A 2-AEU engine with small buffers: cheap enough to build once per
+    /// byte boundary of a frame stream.
+    fn tiny_engine() -> (Engine, DataObjectId) {
+        let cfg = EngineConfig {
+            routing: RoutingConfig {
+                incoming_capacity: 1 << 14,
+                ..Default::default()
+            },
+            balancer: BalancerConfig {
+                enabled: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut engine = Engine::new(custom_machine("t", 1, 2, 20.0, 100.0, 10.0, 60.0), cfg);
+        let obj = engine.create_index("kv", 1 << 10);
+        engine.bulk_load_index(obj, (0..16u64).map(|k| (k * 64, k)));
+        (engine, obj)
+    }
+
+    fn frame_bytes(kind: ReqKind, seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        RequestFrame {
+            kind,
+            tenant: 0,
+            conn: 0,
+            seq,
+            payload,
+        }
+        .encode(&mut out);
+        out
+    }
+
+    fn lookup_frame(obj: DataObjectId, seq: u64, keys: Vec<u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        let cmd = DataCommand {
+            object: obj,
+            ticket: seq,
+            payload: Payload::Lookup { keys },
+        };
+        RequestFrame::encode_command(0, 0, seq, &cmd, &mut out);
+        out
+    }
+
+    /// Serve one connection that delivers `reads` one per pump, then pump
+    /// until quiet.  Returns the responses the client received and the
+    /// bytes left in the connection's reassembly buffer (`None` once the
+    /// connection was reaped).
+    fn serve_reads(reads: &[&[u8]]) -> (Vec<ResponseFrame>, Option<Vec<u8>>) {
+        let (engine, _) = tiny_engine();
+        let cfg = ServerConfig {
+            admission: AdmissionConfig {
+                // A two-credit window withholds frames whenever a read
+                // carries more than two commands.
+                credit_limit: 2,
+                // 10 ops and no refill: the quota verdicts depend only
+                // on the command order, never on how many pumps ran.
+                quota_capacity_ops: 10,
+                quota_refill_ops_per_sec: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut server = EngineServer::new(engine, cfg);
+        let (server_side, mut client_side) = loopback_pair();
+        server.attach(Box::new(server_side));
+        for read in reads {
+            client_side.try_write(read).unwrap();
+            server.pump();
+        }
+        server.pump_until_quiet(64);
+        let mut bytes = Vec::new();
+        client_side.try_read(&mut bytes).unwrap();
+        let mut cur = bytes.as_slice();
+        let mut responses = Vec::new();
+        while let Some(r) = ResponseFrame::try_decode(&mut cur).unwrap() {
+            responses.push(r);
+        }
+        assert!(cur.is_empty(), "only whole responses were written");
+        let left = server.conns[0].as_ref().map(|c| c.inbuf.clone());
+        (responses, left)
+    }
+
+    /// Every two-read split of `frames`' concatenation settles exactly
+    /// like one frame per read, and leaves the same bytes buffered.
+    fn assert_split_invariant(frames: &[Vec<u8>]) -> (Vec<ResponseFrame>, Option<Vec<u8>>) {
+        let per_frame: Vec<&[u8]> = frames.iter().map(|f| f.as_slice()).collect();
+        let reference = serve_reads(&per_frame);
+        let stream = frames.concat();
+        for cut in 0..=stream.len() {
+            let (head, tail) = stream.split_at(cut);
+            let got = serve_reads(&[head, tail]);
+            assert_eq!(got, reference, "stream split at byte {cut}");
+        }
+        reference
+    }
+
+    #[test]
+    fn intake_is_independent_of_read_boundaries() {
+        let (_, obj) = tiny_engine();
+        let mut frames = vec![frame_bytes(ReqKind::Hello, 0, &[])];
+        // Three 3-key lookups: more than the two-credit window, so every
+        // read that carries them withholds a frame and later ones wait.
+        for seq in 1..=3 {
+            frames.push(lookup_frame(obj, seq, vec![64, 128, 192]));
+        }
+        // A payload that is not a command: rejected, credit returned.
+        frames.push(frame_bytes(ReqKind::Command, 4, &[0xFF; 9]));
+        // One op of quota is left: 3 keys are denied, 1 key passes.
+        frames.push(lookup_frame(obj, 5, vec![64, 128, 192]));
+        frames.push(lookup_frame(obj, 6, vec![256]));
+        // A partial trailing frame stays buffered.
+        let partial = lookup_frame(obj, 7, vec![320]);
+        frames.push(partial[..REQ_HEADER_BYTES + 3].to_vec());
+
+        let (responses, left) = assert_split_invariant(&frames);
+        let verdicts: Vec<(RespKind, u8, u64)> =
+            responses.iter().map(|r| (r.kind, r.code, r.seq)).collect();
+        assert_eq!(
+            verdicts,
+            vec![
+                (RespKind::Welcome, 0, 0),
+                (RespKind::Accepted, 0, 1),
+                (RespKind::Accepted, 0, 2),
+                (RespKind::Accepted, 0, 3),
+                (RespKind::Rejected, REJ_DECODE, 4),
+                (RespKind::QuotaDenied, 0, 5),
+                (RespKind::Accepted, 0, 6),
+            ]
+        );
+        assert_eq!(left.as_deref(), Some(&partial[..REQ_HEADER_BYTES + 3]));
+    }
+
+    #[test]
+    fn bad_magic_mid_buffer_rejects_and_closes_at_any_read_boundary() {
+        let (_, obj) = tiny_engine();
+        let mut garbage = lookup_frame(obj, 3, vec![64]);
+        garbage[0] = 0x00;
+        let frames = vec![
+            frame_bytes(ReqKind::Hello, 0, &[]),
+            lookup_frame(obj, 1, vec![64]),
+            lookup_frame(obj, 2, vec![128]),
+            garbage,
+            lookup_frame(obj, 4, vec![192]),
+        ];
+        let (responses, left) = assert_split_invariant(&frames);
+        let verdicts: Vec<(RespKind, u8, u64)> =
+            responses.iter().map(|r| (r.kind, r.code, r.seq)).collect();
+        assert_eq!(
+            verdicts,
+            vec![
+                (RespKind::Welcome, 0, 0),
+                (RespKind::Accepted, 0, 1),
+                (RespKind::Accepted, 0, 2),
+                (RespKind::Rejected, REJ_PROTOCOL, 0),
+            ]
+        );
+        assert_eq!(left, None, "the connection was reaped");
+    }
+
     #[test]
     fn garbage_bytes_get_a_typed_reject_and_a_close() {
         let (engine, _) = small_engine();
@@ -1048,7 +1216,7 @@ mod tests {
             payload: Payload::Lookup { keys: vec![0] },
         };
         let mut bytes = Vec::new();
-        RequestFrame::command(0, id, 9, &cmd).encode(&mut bytes);
+        RequestFrame::encode_command(0, id, 9, &cmd, &mut bytes);
         client_side.try_write(&bytes).unwrap();
         server.pump();
         let mut resp = Vec::new();

@@ -48,14 +48,20 @@ struct PipeInner {
 impl Pipe {
     // HOT-PATH-CUT: loopback test transport — Mutex-based by design,
     // used by the harness, never on the engine's latch-free paths.
+    // Both directions copy whole slices: a ring buffer holds at most two
+    // contiguous runs, so a push or drain is at most two memcpys.
     pub fn push(&self, data: &[u8]) {
-        self.inner.bytes.lock().extend(data.iter().copied());
+        // `Extend<&u8>` from a slice iterator copies the slice in bulk.
+        self.inner.bytes.lock().extend(data);
     }
 
     pub fn drain_into(&self, out: &mut Vec<u8>) -> usize {
         let mut q = self.inner.bytes.lock();
+        let (front, back) = q.as_slices();
+        out.extend_from_slice(front);
+        out.extend_from_slice(back);
         let n = q.len();
-        out.extend(q.drain(..));
+        q.clear();
         n
     }
 
@@ -235,6 +241,34 @@ mod tests {
         let mut back = Vec::new();
         assert_eq!(a.try_read(&mut back).unwrap(), 2);
         assert_eq!(back, b"yo");
+    }
+
+    #[test]
+    fn pipe_is_byte_exact_across_the_ring_wrap_around() {
+        let pipe = Pipe::default();
+        for cut in [1usize, 13, 31, 32] {
+            // Park the ring's head `cut` bytes before the end of its
+            // buffer (clearing the ring rewinds the head, so only front
+            // pops can put it there).
+            {
+                let mut q = pipe.inner.bytes.lock();
+                q.clear();
+                q.reserve_exact(64);
+                let cap = q.capacity();
+                q.extend(std::iter::repeat_n(0u8, cap - cut));
+                while q.pop_front().is_some() {}
+            }
+            // This push straddles the wrap point: its bytes land in two
+            // runs, and the drain must return them in order.
+            let sent: Vec<u8> = (0..48u8).map(|b| b.wrapping_mul(37) ^ cut as u8).collect();
+            pipe.push(&sent);
+            assert_eq!(pipe.inner.bytes.lock().as_slices().0.len(), cut.min(48));
+            let mut got = vec![0xEE];
+            assert_eq!(pipe.drain_into(&mut got), sent.len());
+            assert_eq!(got[0], 0xEE, "drain appends");
+            assert_eq!(&got[1..], &sent[..]);
+            assert!(pipe.is_empty());
+        }
     }
 
     #[test]

@@ -264,7 +264,7 @@ fn malformed_command_payload_is_typed_rejected() {
         tenant: 0,
         conn: 0,
         seq: 0,
-        payload: vec![],
+        payload: &[],
     }
     .encode(&mut bytes);
     // A command frame whose payload is garbage (not a DataCommand).
@@ -273,7 +273,7 @@ fn malformed_command_payload_is_typed_rejected() {
         tenant: 0,
         conn: id,
         seq: 1,
-        payload: vec![0xFF; 9],
+        payload: &[0xFF; 9],
     }
     .encode(&mut bytes);
     client_side.try_write(&bytes).unwrap();
@@ -293,7 +293,7 @@ fn malformed_command_payload_is_typed_rejected() {
 
     // The connection still works: a valid command goes through.
     let mut bytes = Vec::new();
-    RequestFrame::command(0, id, 2, &lookup(obj, 5)).encode(&mut bytes);
+    RequestFrame::encode_command(0, id, 2, &lookup(obj, 5), &mut bytes);
     client_side.try_write(&bytes).unwrap();
     server.pump();
     let mut resp = Vec::new();
